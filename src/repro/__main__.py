@@ -585,10 +585,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument("--requests", type=int, default=32,
                               help="requests per client (default 32)")
     serve_parser.add_argument("--scheduler", default="window",
-                              choices=("fifo", "window", "continuous",
-                                       "batch"),
+                              choices=("fifo", "window", "continuous"),
                               help="dispatch policy (default window; "
-                                   "'batch' is a legacy alias for window, "
                                    "'continuous' pipelines dispatch groups "
                                    "with admission control)")
     serve_parser.add_argument("--window-ms", type=float, default=2.0,

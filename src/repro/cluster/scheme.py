@@ -25,9 +25,9 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
-from repro.api.protocols import PrivateIR, PrivateKVS
+from repro.api.protocols import PrivateIR, PrivateKVS, Scheme
 from repro.api.registry import scheme_spec
 from repro.cluster.group import (
     DEFAULT_MAX_ATTEMPTS,
@@ -51,11 +51,16 @@ from repro.parallel.executor import Executor, resolve_executor
 from repro.storage.faults import (
     CorruptingServer,
     FlakyServer,
+    _check_coin_mode,
     wrap_scheme_servers,
 )
 from repro.storage.backends import BackendFactory
 from repro.storage.network import LAN, NetworkModel
 from repro.storage.server import StorageServer
+
+_G = TypeVar("_G", ShardGroup, KVShardGroup)
+_T = TypeVar("_T")
+_C = TypeVar("_C", bound="_ClusterCore[Any]")
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,398 @@ def _inject_faults(
     wrap_scheme_servers(replica, wrap)
 
 
-class ClusterIR(PrivateIR):
+class _ClusterCore(Scheme, Generic[_G]):
+    """What :class:`ClusterIR` and :class:`ClusterKVS` share.
+
+    ``ε`` is invariant when ``n`` and ``K`` shrink together, so ledger
+    charging, fan-out and wall/serial accounting do not depend on the
+    base protocol.  Subclasses build their groups (``_install``) and
+    route items to shards.
+    """
+
+    _groups: list[_G]
+
+    def __init__(
+        self,
+        kind: str,
+        base: str,
+        *,
+        replica_count: int,
+        failure_rate: float | Sequence[float],
+        corruption_rate: float | Sequence[float],
+        epsilon_cap: float | None,
+        rng: RandomSource | None,
+        backend_factory: BackendFactory | str | None,
+        executor: Executor | str | None,
+        network: NetworkModel | str | None,
+        tracer: Tracer | None,
+        fault_coin_mode: str,
+        base_kwargs: dict[str, Any],
+    ) -> None:
+        if replica_count <= 0:
+            raise ValueError(
+                f"replica count must be positive, got {replica_count}"
+            )
+        spec = scheme_spec(base)
+        if spec.kind != kind:
+            article = "an" if kind == "ir" else "a"
+            raise ValueError(
+                f"{type(self).__name__} needs {article} {kind.upper()} base "
+                f"scheme, got {base!r} ({spec.kind})"
+            )
+        self._base = spec.name
+        self._replica_count = replica_count
+        self._epsilon_cap = epsilon_cap
+        self._backend_factory = backend_factory
+        self._base_kwargs = base_kwargs
+        self._rng = rng if rng is not None else SystemRandomSource()
+        self._fault_coin_mode = _check_coin_mode(fault_coin_mode)
+        self._failure_rates = _rate_per_replica(
+            failure_rate, replica_count, "failure rate"
+        )
+        self._corruption_rates = _rate_per_replica(
+            corruption_rate, replica_count, "corruption rate"
+        )
+        self._owns_executor = not isinstance(executor, Executor)
+        self._executor = resolve_executor(executor)
+        self.attach_tracer(tracer)
+        self._network_model = _resolve_model(network)
+        self._generation = 0
+        self._operations = 0
+        # ``None`` answers of fan-out rounds (and of IR queries): an IR
+        # base's α-error events.  ClusterKVS does not report them.
+        self._misses = 0
+        self._reshard_count = 0
+        # Cumulative op-unit accounting across generations (reshard
+        # rebuilds the groups and their server counters, these survive).
+        self._serial_ops = 0
+        self._wall_ops = 0.0
+
+    # -- layout ------------------------------------------------------------
+
+    def _build_replicas(
+        self, shard: int, build: Callable[[str], dict[str, Any]]
+    ) -> list[Any]:
+        """Build one shard group's ``R`` fault-injected base instances;
+        ``build(label)`` supplies each one's shard-specific keywords."""
+        replicas = []
+        for replica in range(self._replica_count):
+            label = f"g{self._generation}/s{shard}/r{replica}"
+            instance = _build_base(
+                self._base,
+                **build(label),
+                rng=self._rng.spawn(f"scheme/{label}"),
+                backend=self._backend_factory,
+                **self._base_kwargs,
+            )
+            _inject_faults(
+                instance,
+                self._failure_rates[replica],
+                self._corruption_rates[replica],
+                self._rng.spawn(f"faults/{label}"),
+                coin_mode=self._fault_coin_mode,
+            )
+            replicas.append(instance)
+        return replicas
+
+    def _adopt(self, groups: list[_G]) -> None:
+        """Make ``groups`` the live generation."""
+        self._generation += 1
+        self._groups = groups
+        self._shard_queries = [0] * len(groups)
+        # Resharding must not launder spent budget: the drained epoch's
+        # ledger seeds the new one so lifetime accounting stays honest.
+        self._ledger = ClusterLedger(
+            len(groups),
+            epsilon_cap=self._epsilon_cap,
+            carried_from=getattr(self, "_ledger", None),
+        )
+
+    # -- scheme info -------------------------------------------------------
+
+    @property
+    def base(self) -> str:
+        """Registry name of the per-shard base scheme."""
+        return self._base
+
+    @property
+    def shard_count(self) -> int:
+        """Number of shard groups ``D``."""
+        return len(self._groups)
+
+    @property
+    def replica_count(self) -> int:
+        """Replicas per shard group ``R``."""
+        return self._replica_count
+
+    @property
+    def groups(self) -> list[_G]:
+        """The shard groups (exposed for tests and reports)."""
+        return list(self._groups)
+
+    @property
+    def ledger(self) -> ClusterLedger:
+        """The cluster-wide privacy account."""
+        return self._ledger
+
+    @property
+    def reshard_count(self) -> int:
+        """Completed reshard/rebalance migrations."""
+        return self._reshard_count
+
+    @property
+    def executor(self) -> Executor:
+        """The cross-shard fan-out policy."""
+        return self._executor
+
+    @property
+    def tracer(self) -> Tracer:
+        """The attached tracer (the shared no-op one by default)."""
+        return self._tracer
+
+    def attach_tracer(self, tracer: Tracer | None) -> None:
+        """Emit spans to ``tracer`` (``None`` restores the no-op default).
+
+        Tracing never touches answers, draw sequences or ledger
+        charges; leg spans are pre-allocated in submission order, so
+        serial/parallel/simulated executors emit identical span trees.
+        """
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._texec = TracingExecutor(self._executor, self._tracer)
+
+    @property
+    def network_model(self) -> NetworkModel:
+        """The link model pricing this cluster's millisecond figures."""
+        return self._network_model
+
+    def servers(self) -> tuple[StorageServer, ...]:
+        """Every server behind every replica of every group."""
+        servers: list[StorageServer] = []
+        for group in self._groups:
+            servers.extend(group.servers())
+        return tuple(servers)
+
+    def fault_counters(self) -> dict[str, int]:
+        """Cluster-level failover totals, merged across shard groups."""
+        totals: dict[str, int] = {}
+        for group in self._groups:
+            for key, value in group.fault_counters().items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    # -- load and storage figures ------------------------------------------
+
+    def shard_loads(self) -> list[int]:
+        """Per-shard server operations (the measurable hot-spot signal)."""
+        return [group.operations() for group in self._groups]
+
+    def shard_query_counts(self) -> list[int]:
+        """Logical operations routed to each shard."""
+        return list(self._shard_queries)
+
+    def load_balance_index(self) -> float:
+        """Jain index over per-shard server operations."""
+        return jain_index(self.shard_loads())
+
+    def per_server_storage_blocks(self) -> int:
+        """Largest single server, in stored blocks — the ≈ n/D figure."""
+        return max(server.capacity for server in self.servers())
+
+    def total_storage_blocks(self) -> int:
+        """Total stored blocks across the cluster — ``R·n`` for IR."""
+        return sum(server.capacity for server in self.servers())
+
+    # -- overlap accounting ------------------------------------------------
+
+    def serial_operations(self) -> int:
+        """Op-units through the cluster entry points, priced serially.
+
+        Unlike :meth:`~repro.api.protocols.Scheme.server_operations`
+        (the live generation's server counters), this survives reshard
+        migrations — it is the cumulative serial cost of everything the
+        cluster did, drain scans included.
+        """
+        return self._serial_ops
+
+    def wall_operations(self) -> float:
+        """Overlap-accounted op-units: each cross-shard stage costs what
+        its executor says (max over concurrent legs under a parallel
+        executor, the plain sum under the serial one)."""
+        return self._wall_ops
+
+    def _per_op_ms(self) -> float:
+        return self._network_model.rtt_ms + self._network_model.transfer_ms(
+            self.block_size
+        )
+
+    def serial_ms(self) -> float:
+        """Cumulative simulated time with every leg run back-to-back."""
+        return self.serial_operations() * self._per_op_ms()
+
+    def wall_clock_ms(self) -> float:
+        """Cumulative simulated time under the configured executor."""
+        return self.wall_operations() * self._per_op_ms()
+
+    def _account_stage(
+        self, leg_serial: Sequence[int], leg_wall: Sequence[float]
+    ) -> None:
+        self._serial_ops += sum(leg_serial)
+        self._wall_ops += self._executor.stage_cost(leg_wall)
+
+    def close(self) -> None:
+        """Release executor worker threads.
+
+        Only shuts down an executor the cluster resolved itself from a
+        name; a caller-supplied :class:`Executor` instance stays alive
+        for its owner to reuse.  Safe to call more than once, and a
+        no-op for poolless executors.
+        """
+        if self._owns_executor:
+            self._executor.close()
+
+    def __enter__(self: _C) -> _C:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    # -- entry-point plumbing ----------------------------------------------
+
+    def _charge(self, shard: int, count: int, draws: int) -> None:
+        """Count ``count`` logical operations on ``shard`` and charge the
+        ledger once per replica draw they exposed."""
+        self._operations += count
+        self._shard_queries[shard] += count
+        epsilon = self._groups[shard].epsilon
+        for _ in range(draws):
+            self._ledger.charge(shard, epsilon)
+
+    def _one(self, span: str, shard: int, call: Callable[[_G], _T]) -> _T:
+        """Run one operation on ``shard``'s group inside ``span``;
+        its draws are charged even when it raises."""
+        group = self._groups[shard]
+        draws = group.draws
+        ops = group.operations()
+        wall = group.wall_operations()
+        with self._tracer.span(span, shard=shard):
+            try:
+                return call(group)
+            finally:
+                self._charge(shard, 1, group.draws - draws)
+                self._account_stage(
+                    [group.operations() - ops],
+                    [group.wall_operations() - wall],
+                )
+
+    def _fan_out_round(
+        self,
+        span: str,
+        items: Sequence[Any],
+        route: Callable[[Any], tuple[int, Any]],
+        leg: Callable[[_G, list[Any]], list[bytes | None]],
+    ) -> list[bytes | None]:
+        """Serve ``items`` as one round of ``leg(group, batch)`` calls,
+        one per shard ``route`` sends items to.  Every leg is charged
+        and the stage accounted before the first failure is re-raised."""
+        if not items:
+            return []
+        per_shard: dict[int, list[tuple[int, Any]]] = {}
+        for position, item in enumerate(items):
+            shard, local = route(item)
+            per_shard.setdefault(shard, []).append((position, local))
+        shards = sorted(per_shard)
+        groups = [self._groups[shard] for shard in shards]
+        before = [
+            (group.draws, group.operations(), group.wall_operations())
+            for group in groups
+        ]
+        tasks = [
+            (
+                lambda group=group, batch=[item for _, item in per_shard[shard]]:
+                    leg(group, batch)
+            )
+            for shard, group in zip(shards, groups)
+        ]
+        with self._tracer.span(span, batch=len(items), shards=len(shards)):
+            results = self._texec.fan_out(
+                tasks,
+                name="cluster.shard_leg",
+                leg_labels=[{"shard": shard} for shard in shards],
+            )
+            answers: list[bytes | None] = [None] * len(items)
+            failure: BaseException | None = None
+            leg_serial: list[int] = []
+            leg_wall: list[float] = []
+            for shard, group, (draws, ops, wall), result in zip(
+                shards, groups, before, results
+            ):
+                entries = per_shard[shard]
+                self._charge(shard, len(entries), group.draws - draws)
+                leg_serial.append(group.operations() - ops)
+                leg_wall.append(group.wall_operations() - wall)
+                if result.error is not None:
+                    if failure is None:
+                        failure = result.error
+                    continue
+                for (position, _), answer in zip(entries, result.value):
+                    answers[position] = answer
+                self._misses += result.value.count(None)
+            self._account_stage(leg_serial, leg_wall)
+        if failure is not None:
+            raise failure
+        return answers
+
+    def _drain_and_rebuild(
+        self,
+        per_shard: dict[int, list[Any]],
+        shards_after: int,
+        drain: Callable[[int, list[Any]], list[Any]],
+        rebuild: Callable[[list[list[Any]]], int],
+    ) -> MigrationReport:
+        """Drain every shard in one leg each, then ``rebuild`` (which
+        returns the moved-record count).  The legs overlap under a
+        concurrent executor; drain reads are a data-independent
+        maintenance scan, so they are accounted but not charged."""
+        shards_before = self.shard_count
+        shards = sorted(per_shard)
+        groups = [self._groups[shard] for shard in shards]
+        before = [(group.operations(), group.wall_operations()) for group in groups]
+        with self._tracer.span(
+            "cluster.reshard",
+            shards_before=shards_before,
+            shards_after=shards_after,
+        ):
+            results = self._texec.fan_out(
+                [
+                    (lambda shard=shard: drain(shard, per_shard[shard]))
+                    for shard in shards
+                ],
+                name="cluster.drain_leg",
+                leg_labels=[{"shard": shard} for shard in shards],
+            )
+        migration_ops = sum(
+            group.operations() - ops for group, (ops, _) in zip(groups, before)
+        )
+        wall_units = self._executor.stage_cost([
+            group.wall_operations() - wall
+            for group, (_, wall) in zip(groups, before)
+        ])
+        self._serial_ops += migration_ops
+        self._wall_ops += wall_units
+        moved = rebuild([result.unwrap() for result in results])
+        self._reshard_count += 1
+        per_op = self._per_op_ms()
+        return MigrationReport(
+            shards_before=shards_before,
+            shards_after=shards_after,
+            moved_records=moved,
+            migration_operations=migration_ops,
+            serial_ms=migration_ops * per_op,
+            wall_clock_ms=wall_units * per_op,
+        )
+
+
+class ClusterIR(_ClusterCore[ShardGroup], PrivateIR):
     """Sharded + replicated deployment of any registered IR base scheme.
 
     Args:
@@ -236,39 +632,20 @@ class ClusterIR(PrivateIR):
     ) -> None:
         if not blocks:
             raise ValueError("the database must contain at least one block")
-        if replica_count <= 0:
-            raise ValueError(
-                f"replica count must be positive, got {replica_count}"
-            )
-        spec = scheme_spec(base)
-        if spec.kind != "ir":
-            raise ValueError(
-                f"ClusterIR needs an IR base scheme, got {base!r} "
-                f"({spec.kind})"
-            )
+        super().__init__(
+            "ir", base, replica_count=replica_count,
+            failure_rate=failure_rate, corruption_rate=corruption_rate,
+            epsilon_cap=epsilon_cap, rng=rng,
+            backend_factory=backend_factory, executor=executor,
+            network=network, tracer=tracer,
+            fault_coin_mode=fault_coin_mode, base_kwargs=base_kwargs,
+        )
         data = [bytes(block) for block in blocks]
         n = len(data)
         self._n = n
         self._block_size = len(data[0])
-        self._base = spec.name
-        self._replica_count = replica_count
         self._alpha = alpha
         self._max_attempts = max_attempts
-        self._epsilon_cap = epsilon_cap
-        self._backend_factory = backend_factory
-        self._base_kwargs = dict(base_kwargs)
-        self._rng = rng if rng is not None else SystemRandomSource()
-        self._owns_executor = not isinstance(executor, Executor)
-        self._executor = resolve_executor(executor)
-        self.attach_tracer(tracer)
-        self._network_model = _resolve_model(network)
-        self._fault_coin_mode = fault_coin_mode
-        self._failure_rates = _rate_per_replica(
-            failure_rate, replica_count, "failure rate"
-        )
-        self._corruption_rates = _rate_per_replica(
-            corruption_rate, replica_count, "corruption rate"
-        )
         self._key = (
             generate_key(self._rng.spawn("cluster-key"))
             if authenticated
@@ -286,29 +663,15 @@ class ClusterIR(PrivateIR):
                 n, epsilon if epsilon is not None else math.log(max(n, 2)),
                 alpha,
             )
-
-        router = make_router(placement, n, shard_count)
-        self._generation = 0
-        self._install(router, data)
-
-        self._queries = 0
-        self._errors = 0
-        self._reshard_count = 0
-        # Cumulative op-unit accounting across generations (reshard
-        # rebuilds the groups and their server counters, these survive).
-        self._serial_ops = 0
-        self._wall_ops = 0.0
+        self._install(make_router(placement, n, shard_count), data)
 
     # -- layout ------------------------------------------------------------
 
     def _install(self, router: ShardRouter, blocks: list[bytes]) -> None:
         """(Re)build every shard group for ``router``'s assignment."""
-        assignment = router.assignment()
         groups: list[ShardGroup] = []
         locate: dict[int, tuple[int, int]] = {}
-        generation = self._generation
-        self._generation += 1
-        for shard, owned in enumerate(assignment):
+        for shard, owned in enumerate(router.assignment()):
             for local, global_index in enumerate(owned):
                 locate[global_index] = (shard, local)
             shard_pad = min(
@@ -317,43 +680,19 @@ class ClusterIR(PrivateIR):
                     self._global_params.pad_size / router.shard_count
                 )),
             )
-            replicas = []
-            for replica in range(self._replica_count):
-                label = f"g{generation}/s{shard}/r{replica}"
-                stored = self._stored_blocks(blocks, owned, label)
-                instance = _build_base(
-                    self._base,
-                    blocks=stored,
-                    pad_size=shard_pad,
-                    alpha=self._alpha,
-                    rng=self._rng.spawn(f"scheme/{label}"),
-                    backend=self._backend_factory,
-                    **self._base_kwargs,
-                )
-                _inject_faults(
-                    instance,
-                    self._failure_rates[replica],
-                    self._corruption_rates[replica],
-                    self._rng.spawn(f"faults/{label}"),
-                    coin_mode=self._fault_coin_mode,
-                )
-                replicas.append(instance)
+            replicas = self._build_replicas(shard, lambda label: {
+                "blocks": self._stored_blocks(blocks, owned, label),
+                "pad_size": shard_pad,
+                "alpha": self._alpha,
+            })
             groups.append(ShardGroup(
                 shard, replicas, key=self._key,
                 max_attempts=self._max_attempts,
                 executor=self._executor,
             ))
         self._router = router
-        self._groups = groups
         self._locate = locate
-        self._shard_queries = [0] * router.shard_count
-        # Resharding must not launder spent budget: the drained epoch's
-        # ledger seeds the new one so lifetime accounting stays honest.
-        self._ledger = ClusterLedger(
-            router.shard_count,
-            epsilon_cap=self._epsilon_cap,
-            carried_from=getattr(self, "_ledger", None),
-        )
+        self._adopt(groups)
 
     def _stored_blocks(
         self, blocks: list[bytes], owned: Sequence[int], label: str
@@ -378,29 +717,9 @@ class ClusterIR(PrivateIR):
         return self._block_size
 
     @property
-    def base(self) -> str:
-        """Registry name of the per-shard base scheme."""
-        return self._base
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shard groups ``D``."""
-        return len(self._groups)
-
-    @property
-    def replica_count(self) -> int:
-        """Replicas per shard group ``R``."""
-        return self._replica_count
-
-    @property
     def router(self) -> ShardRouter:
         """The active placement policy."""
         return self._router
-
-    @property
-    def groups(self) -> list[ShardGroup]:
-        """The shard groups (exposed for tests and reports)."""
-        return list(self._groups)
 
     @property
     def authenticated(self) -> bool:
@@ -413,166 +732,25 @@ class ClusterIR(PrivateIR):
         return max(group.epsilon for group in self._groups)
 
     @property
-    def ledger(self) -> ClusterLedger:
-        """The cluster-wide privacy account."""
-        return self._ledger
-
-    @property
-    def executor(self) -> Executor:
-        """The cross-shard fan-out policy."""
-        return self._executor
-
-    @property
-    def tracer(self) -> Tracer:
-        """The attached tracer (the shared no-op one by default)."""
-        return self._tracer
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Emit spans to ``tracer`` (``None`` restores the no-op default).
-
-        Tracing never touches answers, draw sequences or ledger
-        charges; leg spans are pre-allocated in submission order, so
-        serial/parallel/simulated executors emit identical span trees.
-        """
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._texec = TracingExecutor(self._executor, self._tracer)
-
-    @property
-    def network_model(self) -> NetworkModel:
-        """The link model pricing this cluster's millisecond figures."""
-        return self._network_model
-
-    @property
     def query_count(self) -> int:
         """Logical queries issued so far."""
-        return self._queries
+        return self._operations
 
     @property
     def error_count(self) -> int:
         """Queries that hit the α-error event."""
-        return self._errors
-
-    @property
-    def reshard_count(self) -> int:
-        """Completed reshard/rebalance migrations."""
-        return self._reshard_count
-
-    def servers(self) -> tuple[StorageServer, ...]:
-        """Every server behind every replica of every group."""
-        servers: list[StorageServer] = []
-        for group in self._groups:
-            servers.extend(group.servers())
-        return tuple(servers)
-
-    def fault_counters(self) -> dict[str, int]:
-        """Cluster-level failover totals, merged across shard groups."""
-        totals: dict[str, int] = {}
-        for group in self._groups:
-            for key, value in group.fault_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    # -- storage figures ---------------------------------------------------
-
-    def per_server_storage_blocks(self) -> int:
-        """Largest single server, in stored blocks — the ≈ n/D figure."""
-        return max(server.capacity for server in self.servers())
-
-    def total_storage_blocks(self) -> int:
-        """Total stored blocks across the cluster — ``R·n``."""
-        return sum(server.capacity for server in self.servers())
-
-    # -- overlap accounting ------------------------------------------------
-
-    def serial_operations(self) -> int:
-        """Op-units through the cluster entry points, priced serially.
-
-        Unlike :meth:`~repro.api.protocols.Scheme.server_operations`
-        (the live generation's server counters), this survives reshard
-        migrations — it is the cumulative serial cost of everything the
-        cluster did, drain scans included.
-        """
-        return self._serial_ops
-
-    def wall_operations(self) -> float:
-        """Overlap-accounted op-units: each cross-shard stage costs what
-        its executor says (max over concurrent legs under a parallel
-        executor, the plain sum under the serial one)."""
-        return self._wall_ops
-
-    def _per_op_ms(self) -> float:
-        return self._network_model.rtt_ms + self._network_model.transfer_ms(
-            self.block_size
-        )
-
-    def serial_ms(self) -> float:
-        """Cumulative simulated time with every leg run back-to-back."""
-        return self.serial_operations() * self._per_op_ms()
-
-    def wall_clock_ms(self) -> float:
-        """Cumulative simulated time under the configured executor."""
-        return self.wall_operations() * self._per_op_ms()
-
-    def _account_stage(
-        self, leg_serial: Sequence[int], leg_wall: Sequence[float]
-    ) -> None:
-        self._serial_ops += sum(leg_serial)
-        self._wall_ops += self._executor.stage_cost(leg_wall)
-
-    def close(self) -> None:
-        """Release executor worker threads.
-
-        Only shuts down an executor the cluster resolved itself from a
-        name; a caller-supplied :class:`Executor` instance stays alive
-        for its owner to reuse.  Safe to call more than once, and a
-        no-op for poolless executors.
-        """
-        if self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self) -> "ClusterIR":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- load metrics ------------------------------------------------------
-
-    def shard_loads(self) -> list[int]:
-        """Per-shard server operations (the measurable hot-spot signal)."""
-        return [group.operations() for group in self._groups]
-
-    def shard_query_counts(self) -> list[int]:
-        """Logical queries routed to each shard."""
-        return list(self._shard_queries)
-
-    def load_balance_index(self) -> float:
-        """Jain index over per-shard server operations."""
-        return jain_index(self.shard_loads())
+        return self._misses
 
     # -- querying ----------------------------------------------------------
 
     def query(self, index: int) -> bytes | None:
         """Retrieve block ``index``; ``None`` on the α-error event."""
-        shard, local = self._locate_index(index)
-        group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.query", shard=shard):
-            try:
-                answer = group.query(local)
-            finally:
-                # Failover retries expose extra pad-set draws to the
-                # shard operator; every draw is charged, even on a
-                # failed query.
-                self._charge(shard, queries=1, draws=group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
+        shard, local = self.locate(index)
+        answer = self._one(
+            "cluster.query", shard, lambda group: group.query(local)
+        )
         if answer is None:
-            self._errors += 1
+            self._misses += 1
         return answer
 
     def query_many(self, indices: Sequence[int]) -> list[bytes | None]:
@@ -590,56 +768,9 @@ class ClusterIR(PrivateIR):
         the healthy shards' draws are charged before the fault
         propagates.
         """
-        if not indices:
-            return []
-        per_shard: dict[int, list[tuple[int, int]]] = {}
-        for position, index in enumerate(indices):
-            shard, local = self._locate_index(index)
-            per_shard.setdefault(shard, []).append((position, local))
-        shards = sorted(per_shard)
-        draws_before = {s: self._groups[s].draws for s in shards}
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        tasks = []
-        for shard in shards:
-            locals_ = [local for _, local in per_shard[shard]]
-            tasks.append(
-                lambda group=self._groups[shard], batch=locals_:
-                    group.query_many(batch)
-            )
-        with self._tracer.span(
-            "cluster.query_many", batch=len(indices), shards=len(shards),
-        ):
-            results = self._texec.fan_out(
-                tasks,
-                name="cluster.shard_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
-            )
-            answers: list[bytes | None] = [None] * len(indices)
-            failure: BaseException | None = None
-            leg_serial: list[int] = []
-            leg_wall: list[float] = []
-            for shard, result in zip(shards, results):
-                group = self._groups[shard]
-                entries = per_shard[shard]
-                self._charge(shard, queries=len(entries),
-                             draws=group.draws - draws_before[shard])
-                leg_serial.append(group.operations() - ops_before[shard])
-                leg_wall.append(
-                    group.wall_operations() - wall_before[shard]
-                )
-                if result.error is not None:
-                    if failure is None:
-                        failure = result.error
-                    continue
-                for (position, _), answer in zip(entries, result.value):
-                    answers[position] = answer
-                    if answer is None:
-                        self._errors += 1
-            self._account_stage(leg_serial, leg_wall)
-        if failure is not None:
-            raise failure
-        return answers
+        return self._fan_out_round(
+            "cluster.query_many", indices, self.locate, ShardGroup.query_many
+        )
 
     def locate(self, index: int) -> tuple[int, int]:
         """Public ``(shard, local_slot)`` image of a global index.
@@ -652,23 +783,12 @@ class ClusterIR(PrivateIR):
         Raises:
             ValueError: if ``index`` is out of range.
         """
-        return self._locate_index(index)
-
-    def _locate_index(self, index: int) -> tuple[int, int]:
         try:
             return self._locate[index]
         except KeyError:
             raise ValueError(
                 f"index {index} out of range for n={self.n}"
             ) from None
-
-    def _charge(self, shard: int, queries: int, draws: int) -> None:
-        """Count logical queries and charge the ledger per visible draw."""
-        self._queries += queries
-        self._shard_queries[shard] += queries
-        epsilon = self._groups[shard].epsilon
-        for _ in range(draws):
-            self._ledger.charge(shard, epsilon)
 
     # -- online migration --------------------------------------------------
 
@@ -723,63 +843,27 @@ class ClusterIR(PrivateIR):
         return self._migrate(self._router.rebalanced(loads))
 
     def _migrate(self, router: ShardRouter) -> MigrationReport:
-        shards_before = self.shard_count
         # Drain the current layout: a full scan through the failover
         # path, retrying the α-error coin until each record is read.
-        # Each shard's drain leg touches only its own group, so the
-        # legs overlap under a concurrent executor — migration pays the
-        # slowest shard, not the sum.
-        per_shard_indices: dict[int, list[int]] = {}
+        per_shard: dict[int, list[int]] = {}
         for index in range(self.n):
-            shard, _ = self._locate_index(index)
-            per_shard_indices.setdefault(shard, []).append(index)
-        shards = sorted(per_shard_indices)
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        with self._tracer.span(
-            "cluster.reshard",
-            shards_before=shards_before,
-            shards_after=router.shard_count,
-        ):
-            results = self._texec.fan_out(
-                [
-                    (lambda shard=shard: self._drain_shard(
-                        shard, per_shard_indices[shard]
-                    ))
-                    for shard in shards
-                ],
-                name="cluster.drain_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
+            per_shard.setdefault(self._locate[index][0], []).append(index)
+
+        def rebuild(drained: list[list[tuple[int, bytes]]]) -> int:
+            recovered = [b""] * self.n
+            for leg in drained:
+                for index, block in leg:
+                    recovered[index] = block
+            moved = sum(
+                1
+                for index in range(self.n)
+                if self._locate[index][0] != router.shard_of(index)
             )
-        leg_serial = [
-            self._groups[s].operations() - ops_before[s] for s in shards
-        ]
-        leg_wall = [
-            self._groups[s].wall_operations() - wall_before[s] for s in shards
-        ]
-        migration_ops = sum(leg_serial)
-        wall_units = self._executor.stage_cost(leg_wall)
-        self._serial_ops += migration_ops
-        self._wall_ops += wall_units
-        recovered: list[bytes | None] = [None] * self.n
-        for result in results:
-            for index, block in result.unwrap():
-                recovered[index] = block
-        moved = sum(
-            1
-            for index in range(self.n)
-            if self._locate[index][0] != router.shard_of(index)
-        )
-        self._install(router, [bytes(block) for block in recovered])
-        self._reshard_count += 1
-        per_op = self._per_op_ms()
-        return MigrationReport(
-            shards_before=shards_before,
-            shards_after=router.shard_count,
-            moved_records=moved,
-            migration_operations=migration_ops,
-            serial_ms=migration_ops * per_op,
-            wall_clock_ms=wall_units * per_op,
+            self._install(router, recovered)
+            return moved
+
+        return self._drain_and_rebuild(
+            per_shard, router.shard_count, self._drain_shard, rebuild
         )
 
     def _drain_shard(
@@ -804,7 +888,7 @@ class ClusterIR(PrivateIR):
         return drained
 
 
-class ClusterKVS(PrivateKVS):
+class ClusterKVS(_ClusterCore[KVShardGroup], PrivateKVS):
     """Sharded + replicated deployment of any registered KVS base scheme.
 
     Keys hash to shard groups; each group hosts ``R`` replicas of the
@@ -869,86 +953,37 @@ class ClusterKVS(PrivateKVS):
             raise ValueError(
                 f"shard count must be positive, got {shard_count}"
             )
-        if replica_count <= 0:
-            raise ValueError(
-                f"replica count must be positive, got {replica_count}"
-            )
         if capacity_slack < 1.0:
             raise ValueError(
                 f"capacity slack must be at least 1.0, got {capacity_slack}"
             )
-        spec = scheme_spec(base)
-        if spec.kind != "kvs":
-            raise ValueError(
-                f"ClusterKVS needs a KVS base scheme, got {base!r} "
-                f"({spec.kind})"
-            )
+        super().__init__(
+            "kvs", base, replica_count=replica_count,
+            failure_rate=failure_rate, corruption_rate=corruption_rate,
+            epsilon_cap=epsilon_cap, rng=rng,
+            backend_factory=backend_factory, executor=executor,
+            network=network, tracer=tracer,
+            fault_coin_mode=fault_coin_mode, base_kwargs=base_kwargs,
+        )
         self._n = n
-        self._base = spec.name
-        self._replica_count = replica_count
         self._value_size = value_size
         self._capacity_slack = capacity_slack
-        self._epsilon_cap = epsilon_cap
-        self._base_kwargs = dict(base_kwargs)
-        self._backend_factory = backend_factory
-        self._rng = rng if rng is not None else SystemRandomSource()
-        self._owns_executor = not isinstance(executor, Executor)
-        self._executor = resolve_executor(executor)
-        self.attach_tracer(tracer)
-        self._network_model = _resolve_model(network)
-        self._fault_coin_mode = fault_coin_mode
-        self._failure_rates = _rate_per_replica(
-            failure_rate, replica_count, "failure rate"
-        )
-        self._corruption_rates = _rate_per_replica(
-            corruption_rate, replica_count, "corruption rate"
-        )
-        self._generation = 0
         self._keys: set[bytes] = set()
         self._install(shard_count)
-        self._operations = 0
-        self._reshard_count = 0
-        self._serial_ops = 0
-        self._wall_ops = 0.0
 
     def _install(self, shard_count: int) -> None:
-        local_n = max(4, math.ceil(
-            self._capacity_slack * self._n / shard_count
-        ))
-        generation = self._generation
-        self._generation += 1
-        groups: list[KVShardGroup] = []
-        for shard in range(shard_count):
-            replicas = []
-            for replica in range(self._replica_count):
-                label = f"g{generation}/s{shard}/r{replica}"
-                instance = _build_base(
-                    self._base,
-                    n=local_n,
-                    value_size=self._value_size,
-                    rng=self._rng.spawn(f"scheme/{label}"),
-                    backend=self._backend_factory,
-                    **self._base_kwargs,
-                )
-                _inject_faults(
-                    instance,
-                    self._failure_rates[replica],
-                    self._corruption_rates[replica],
-                    self._rng.spawn(f"faults/{label}"),
-                    coin_mode=self._fault_coin_mode,
-                )
-                replicas.append(instance)
-            groups.append(KVShardGroup(
-                shard, replicas, executor=self._executor,
-            ))
-        self._groups = groups
-        self._shard_queries = [0] * shard_count
-        # Same epoch carry as ClusterIR: reshard composes, never resets.
-        self._ledger = ClusterLedger(
-            shard_count,
-            epsilon_cap=self._epsilon_cap,
-            carried_from=getattr(self, "_ledger", None),
-        )
+        build = {
+            "n": max(4, math.ceil(self._capacity_slack * self._n / shard_count)),
+            "value_size": self._value_size,
+        }
+        self._adopt([
+            KVShardGroup(
+                shard,
+                self._build_replicas(shard, lambda label: build),
+                executor=self._executor,
+            )
+            for shard in range(shard_count)
+        ])
 
     # -- scheme info -------------------------------------------------------
 
@@ -968,160 +1003,22 @@ class ClusterKVS(PrivateKVS):
         return self._groups[0].replicas[0].block_size
 
     @property
-    def base(self) -> str:
-        """Registry name of the per-shard base scheme."""
-        return self._base
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shard groups ``D``."""
-        return len(self._groups)
-
-    @property
-    def replica_count(self) -> int:
-        """Replicas per shard group ``R``."""
-        return self._replica_count
-
-    @property
-    def groups(self) -> list[KVShardGroup]:
-        """The shard groups (exposed for tests and reports)."""
-        return list(self._groups)
-
-    @property
     def size(self) -> int:
         """Keys currently stored (from the client-side directory)."""
         return len(self._keys)
-
-    @property
-    def ledger(self) -> ClusterLedger:
-        """The cluster-wide privacy account."""
-        return self._ledger
 
     @property
     def operation_count(self) -> int:
         """Logical KVS operations issued so far."""
         return self._operations
 
-    @property
-    def reshard_count(self) -> int:
-        """Completed reshard migrations."""
-        return self._reshard_count
-
-    def servers(self) -> tuple[StorageServer, ...]:
-        """Every server behind every replica of every group."""
-        servers: list[StorageServer] = []
-        for group in self._groups:
-            servers.extend(group.servers())
-        return tuple(servers)
-
-    def fault_counters(self) -> dict[str, int]:
-        """Cluster-level failover totals, merged across shard groups."""
-        totals: dict[str, int] = {}
-        for group in self._groups:
-            for key, value in group.fault_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def shard_loads(self) -> list[int]:
-        """Per-shard server operations."""
-        return [group.operations() for group in self._groups]
-
-    def shard_query_counts(self) -> list[int]:
-        """Logical operations routed to each shard."""
-        return list(self._shard_queries)
-
-    def load_balance_index(self) -> float:
-        """Jain index over per-shard server operations."""
-        return jain_index(self.shard_loads())
-
-    def per_server_storage_blocks(self) -> int:
-        """Largest single server, in stored blocks."""
-        return max(server.capacity for server in self.servers())
-
-    def total_storage_blocks(self) -> int:
-        """Total stored blocks across the cluster."""
-        return sum(server.capacity for server in self.servers())
-
-    # -- overlap accounting ------------------------------------------------
-
-    @property
-    def executor(self) -> Executor:
-        """The cross-shard fan-out policy."""
-        return self._executor
-
-    @property
-    def tracer(self) -> Tracer:
-        """The attached tracer (the shared no-op one by default)."""
-        return self._tracer
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Emit spans to ``tracer`` (see :meth:`ClusterIR.attach_tracer`)."""
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._texec = TracingExecutor(self._executor, self._tracer)
-
-    @property
-    def network_model(self) -> NetworkModel:
-        """The link model pricing this cluster's millisecond figures."""
-        return self._network_model
-
-    def serial_operations(self) -> int:
-        """Cumulative op-units through the entry points, priced serially
-        (survives reshard migrations, unlike the server counters)."""
-        return self._serial_ops
-
-    def wall_operations(self) -> float:
-        """Overlap-accounted op-units under the configured executor."""
-        return self._wall_ops
-
-    def _per_op_ms(self) -> float:
-        return self._network_model.rtt_ms + self._network_model.transfer_ms(
-            self.block_size
-        )
-
-    def serial_ms(self) -> float:
-        """Cumulative simulated time with every leg run back-to-back."""
-        return self.serial_operations() * self._per_op_ms()
-
-    def wall_clock_ms(self) -> float:
-        """Cumulative simulated time under the configured executor."""
-        return self.wall_operations() * self._per_op_ms()
-
-    def _account_stage(
-        self, leg_serial: Sequence[int], leg_wall: Sequence[float]
-    ) -> None:
-        self._serial_ops += sum(leg_serial)
-        self._wall_ops += self._executor.stage_cost(leg_wall)
-
-    def close(self) -> None:
-        """Release executor worker threads (see :meth:`ClusterIR.close`)."""
-        if self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self) -> "ClusterKVS":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # -- operations --------------------------------------------------------
 
     def get(self, key: bytes) -> bytes | None:
         """Retrieve the exact value for ``key``; ``None`` if absent."""
-        shard = self._shard_of(key)
-        group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.get", shard=shard):
-            try:
-                value = group.get(key)
-            finally:
-                self._charge(shard, group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
-        return value
+        return self._one(
+            "cluster.get", self._shard_of(key), lambda group: group.get(key)
+        )
 
     def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
         """Retrieve ``keys`` in order, batching per shard group.
@@ -1134,109 +1031,31 @@ class ClusterKVS(PrivateKVS):
         poison its siblings (their draws are charged before the fault
         propagates).
         """
-        if not keys:
-            return []
-        per_shard: dict[int, list[tuple[int, bytes]]] = {}
-        for position, key in enumerate(keys):
-            shard = self._shard_of(key)
-            per_shard.setdefault(shard, []).append((position, bytes(key)))
-        shards = sorted(per_shard)
-        draws_before = {s: self._groups[s].draws for s in shards}
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        tasks = []
-        for shard in shards:
-            shard_keys = [key for _, key in per_shard[shard]]
-            tasks.append(
-                lambda group=self._groups[shard], batch=shard_keys:
-                    group.get_many(batch)
-            )
-        with self._tracer.span(
-            "cluster.get_many", batch=len(keys), shards=len(shards),
-        ):
-            results = self._texec.fan_out(
-                tasks,
-                name="cluster.shard_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
-            )
-            values: list[bytes | None] = [None] * len(keys)
-            failure: BaseException | None = None
-            leg_serial: list[int] = []
-            leg_wall: list[float] = []
-            for shard, result in zip(shards, results):
-                group = self._groups[shard]
-                entries = per_shard[shard]
-                self._charge_many(
-                    shard, count=len(entries),
-                    draws=group.draws - draws_before[shard],
-                )
-                leg_serial.append(group.operations() - ops_before[shard])
-                leg_wall.append(
-                    group.wall_operations() - wall_before[shard]
-                )
-                if result.error is not None:
-                    if failure is None:
-                        failure = result.error
-                    continue
-                for (position, _), value in zip(entries, result.value):
-                    values[position] = value
-            self._account_stage(leg_serial, leg_wall)
-        if failure is not None:
-            raise failure
-        return values
+        return self._fan_out_round(
+            "cluster.get_many", keys,
+            lambda key: (self._shard_of(key), bytes(key)),
+            KVShardGroup.get_many,
+        )
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update ``key`` on every live replica of its shard."""
-        shard = self._shard_of(key)
-        group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.put", shard=shard):
-            try:
-                group.put(key, value)
-            finally:
-                self._charge(shard, group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
+        self._one(
+            "cluster.put", self._shard_of(key),
+            lambda group: group.put(key, value),
+        )
         self._keys.add(bytes(key))
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns whether it existed."""
-        shard = self._shard_of(key)
-        group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.delete", shard=shard):
-            try:
-                existed = group.delete(key)
-            finally:
-                self._charge(shard, group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
+        existed = self._one(
+            "cluster.delete", self._shard_of(key),
+            lambda group: group.delete(key),
+        )
         self._keys.discard(bytes(key))
         return existed
 
     def _shard_of(self, key: bytes) -> int:
         return hash_shard_of_key(key, self.shard_count)
-
-    def _charge(self, shard: int, draws: int) -> None:
-        """Count one logical operation; charge the ledger per replica
-        operation attempted (write fan-out and failovers each expose an
-        independent mechanism invocation to a replica's operator)."""
-        self._charge_many(shard, count=1, draws=draws)
-
-    def _charge_many(self, shard: int, count: int, draws: int) -> None:
-        self._operations += count
-        self._shard_queries[shard] += count
-        epsilon = self._groups[shard].epsilon
-        for _ in range(draws):
-            self._ledger.charge(shard, epsilon)
 
     # -- online migration --------------------------------------------------
 
@@ -1253,63 +1072,31 @@ class ClusterKVS(PrivateKVS):
         """
         new_count = shard_count if shard_count is not None else self.shard_count
         shards_before = self.shard_count
-        per_shard_keys: dict[int, list[bytes]] = {}
+        per_shard: dict[int, list[bytes]] = {}
         for key in sorted(self._keys):
-            per_shard_keys.setdefault(self._shard_of(key), []).append(key)
-        shards = sorted(per_shard_keys)
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        with self._tracer.span(
-            "cluster.reshard",
-            shards_before=shards_before,
-            shards_after=new_count,
-        ):
-            results = self._texec.fan_out(
-                [
-                    (
-                        lambda group=self._groups[shard],
-                        keys=per_shard_keys[shard]:
-                            list(zip(keys, group.get_many(keys)))
-                    )
-                    for shard in shards
-                ],
-                name="cluster.drain_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
+            per_shard.setdefault(self._shard_of(key), []).append(key)
+
+        def rebuild(drained: list[list[tuple[bytes, bytes | None]]]) -> int:
+            snapshot = sorted(
+                (key, value)
+                for leg in drained
+                for key, value in leg
+                if value is not None
             )
-        leg_serial = [
-            self._groups[s].operations() - ops_before[s] for s in shards
-        ]
-        leg_wall = [
-            self._groups[s].wall_operations() - wall_before[s] for s in shards
-        ]
-        migration_ops = sum(leg_serial)
-        wall_units = self._executor.stage_cost(leg_wall)
-        self._serial_ops += migration_ops
-        self._wall_ops += wall_units
-        snapshot: list[tuple[bytes, bytes]] = []
-        for result in results:
-            for key, value in result.unwrap():
-                if value is not None:
-                    snapshot.append((key, value))
-        snapshot.sort()
-        self._install(new_count)
-        moved = sum(
-            1
-            for key, _ in snapshot
-            if hash_shard_of_key(key, shards_before)
-            != hash_shard_of_key(key, new_count)
-        )
-        self._keys = set()
-        for key, value in snapshot:
-            self._groups[self._shard_of(key)].put(key, value)
-            self._keys.add(key)
-        self._reshard_count += 1
-        per_op = self._per_op_ms()
-        return MigrationReport(
-            shards_before=shards_before,
-            shards_after=new_count,
-            moved_records=moved,
-            migration_operations=migration_ops,
-            serial_ms=migration_ops * per_op,
-            wall_clock_ms=wall_units * per_op,
+            self._install(new_count)
+            self._keys = set()
+            for key, value in snapshot:
+                self._groups[self._shard_of(key)].put(key, value)
+                self._keys.add(key)
+            return sum(
+                1
+                for key, _ in snapshot
+                if hash_shard_of_key(key, shards_before)
+                != hash_shard_of_key(key, new_count)
+            )
+
+        return self._drain_and_rebuild(
+            per_shard, new_count,
+            lambda shard, keys: list(zip(keys, self._groups[shard].get_many(keys))),
+            rebuild,
         )

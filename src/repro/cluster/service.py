@@ -14,20 +14,12 @@ cluster-wide privacy budget::
                                                   seed=7))
     print(report.to_text())
     print(report.ops_per_request, report.budget.per_query_epsilon)
-
-The pre-config keyword signature (``repro.cluster("dp_ir", shards=4)``)
-still works: keywords fold into a
-:class:`~repro.cluster.config.ClusterConfig` behind a single
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
-
 from repro.api.registry import resolve_scheme_name, scheme_spec
-from repro.cluster.config import CLUSTER_CONFIG_FIELDS, ClusterConfig
+from repro.cluster.config import ClusterConfig
 from repro.cluster.report import (
     ClusterReport,
     ShardReport,
@@ -49,66 +41,26 @@ def _chunks(items: list, size: int) -> list[list]:
     return [items[start:start + size] for start in range(0, len(items), size)]
 
 
-def _config_from_kwargs(kwargs: dict[str, Any]) -> ClusterConfig:
-    """Fold the deprecated keyword surface into a ClusterConfig.
-
-    Splits recognised config fields from base-scheme builder keywords
-    and emits ONE DeprecationWarning naming what should move.
-    """
-    config_kwargs = {
-        key: kwargs.pop(key) for key in list(kwargs)
-        if key in CLUSTER_CONFIG_FIELDS
-    }
-    named = ", ".join(sorted(config_kwargs)) or "(defaults only)"
-    warnings.warn(
-        f"cluster(scheme, {named}, ...) keywords are deprecated; pass "
-        "repro.cluster(scheme, ClusterConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ClusterConfig(base_kwargs=dict(kwargs), **config_kwargs)
-
-
 def cluster(
     scheme: str = "dp_ir",
     config: ClusterConfig | None = None,
     /,
-    **kwargs: Any,
 ) -> ClusterReport:
     """Run a workload against a sharded + replicated cluster.
 
     Args:
         scheme: registry name of the *base* scheme each shard group
             hosts (IR or KVS; hyphenated aliases accepted).
-        config: the run's :class:`~repro.cluster.config.ClusterConfig`.
-            This is the documented calling convention; see the config
-            class for every knob (shards, replicas, fault rates,
-            executor, batching, observability sinks, …).
-        **kwargs: the deprecated pre-config surface.  Recognised config
-            fields (``shards=``, ``replicas=``, ``seed=``, …) fold into
-            a :class:`ClusterConfig` behind a single
-            :class:`DeprecationWarning`; anything else is forwarded to
-            the base scheme's builder exactly as before.  Mixing
-            ``config`` with keywords is an error.
+        config: the run's :class:`~repro.cluster.config.ClusterConfig`
+            (defaults when omitted); see the config class for every
+            knob (shards, replicas, fault rates, executor, batching,
+            observability sinks, …).
 
     Returns:
         The run's :class:`~repro.cluster.report.ClusterReport`.
     """
-    if config is not None:
-        if kwargs:
-            unknown = ", ".join(sorted(kwargs))
-            raise ValueError(
-                f"pass either a ClusterConfig or keywords, not both "
-                f"(got config= plus {unknown}); base-scheme keywords go "
-                "in ClusterConfig.base_kwargs"
-            )
-    else:
-        config = _config_from_kwargs(kwargs)
-    return _cluster(scheme, config)
-
-
-def _cluster(scheme: str, config: ClusterConfig) -> ClusterReport:
-    """Run one cluster deployment from a resolved config."""
+    if config is None:
+        config = ClusterConfig()
     from repro.api.builders import resolve_network
 
     shards = config.shards

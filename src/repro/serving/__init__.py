@@ -31,8 +31,8 @@ configured through a frozen :class:`ServingConfig`; the
 ``benchmarks/bench_serving.py``.  Schedulers are a registry
 (:func:`register_scheduler`, listed by :func:`scheduler_listings` /
 ``repro.schedulers()``) mirroring the scheme registry: ``fifo``,
-``window`` (legacy alias ``batch``) and ``continuous`` — the pipelined
-batcher with per-tenant admission control.
+``window`` and ``continuous`` — the pipelined batcher with per-tenant
+admission control.
 """
 
 from repro.serving.config import ServingConfig

@@ -11,10 +11,7 @@ documented way to parameterize :func:`repro.serve`::
                            tenant_credits=4, seed=7)
     report = repro.serve("batch_dp_ir", config)
 
-The old keyword signature still works — ``serve()`` folds legacy kwargs
-into a config and emits a single :class:`DeprecationWarning` naming
-them — and the CLI builds configs via :meth:`ServingConfig.from_cli_args`
-so ``--json`` output is unchanged.
+The CLI builds configs via :meth:`ServingConfig.from_cli_args`.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ class ServingConfig:
         clients: number of concurrent tenant sessions.
         requests_per_client: operations each session issues.
         scheduler: a registered scheduler name (``fifo`` / ``window`` /
-            ``continuous``; legacy alias ``batch``) or a
+            ``continuous``) or a
             :class:`~repro.serving.schedulers.RequestScheduler` instance.
         batch_window_ms: batching window for the ``window`` scheduler.
         max_batch: dispatch group size cap (``window`` and
@@ -153,11 +150,3 @@ class ServingConfig:
             metrics_registry=metrics_registry,
             monitor=args.monitor,
         )
-
-
-#: ServingConfig field names accepted by the deprecated keyword path of
-#: :func:`repro.serve` (everything except ``build_kwargs``, which stays
-#: a catch-all for scheme-builder keywords).
-SERVING_CONFIG_FIELDS: frozenset[str] = frozenset(
-    f.name for f in dataclasses.fields(ServingConfig)
-) - {"build_kwargs"}

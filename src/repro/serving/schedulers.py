@@ -8,9 +8,9 @@ lane is free, which requests to hand over next.  Schedulers are
 * :class:`FIFOScheduler` (``fifo``) — one request per dispatch,
   strictly in arrival order.  This is the per-request baseline: every
   request pays the full per-query cost of the scheme.
-* :class:`WindowedBatchScheduler` (``window``, legacy alias ``batch``)
-  — accumulates requests for a configurable window (or until a size
-  cap) and dispatches them as one group.  The simulator routes groups
+* :class:`WindowedBatchScheduler` (``window``) — accumulates
+  requests for a configurable window (or until a size cap) and
+  dispatches them as one group.  The simulator routes groups
   through the ``*_many`` protocol entry points, so schemes with
   genuinely batched implementations (``BatchDPIR``'s pad-set union,
   ``MultiServerDPIR``'s coalesced replica reads) serve a group with
@@ -131,22 +131,18 @@ class SchedulerSpec:
         factory: the :class:`RequestScheduler` subclass; built via its
             ``from_config`` classmethod.
         summary: one-line description for listings.
-        aliases: accepted alternate spellings (``"batch"`` resolves to
-            ``"window"`` for backward compatibility).
     """
 
     name: str
     factory: Type[RequestScheduler]
     summary: str
-    aliases: tuple[str, ...] = ()
 
 
 _SCHEDULERS: dict[str, SchedulerSpec] = {}
-_SCHEDULER_ALIASES: dict[str, str] = {}
 
 
 def register_scheduler(
-    name: str, *, summary: str = "", aliases: tuple[str, ...] = ()
+    name: str, *, summary: str = ""
 ) -> Callable[[Type[RequestScheduler]], Type[RequestScheduler]]:
     """Class decorator registering a :class:`RequestScheduler`.
 
@@ -159,19 +155,11 @@ def register_scheduler(
     def decorator(cls: Type[RequestScheduler]) -> Type[RequestScheduler]:
         if name in _SCHEDULERS:
             raise ValueError(f"scheduler {name!r} is already registered")
-        for alias in aliases:
-            if alias in _SCHEDULER_ALIASES or alias in _SCHEDULERS:
-                raise ValueError(
-                    f"scheduler alias {alias!r} is already taken"
-                )
         _SCHEDULERS[name] = SchedulerSpec(
             name=name,
             factory=cls,
             summary=summary or (cls.__doc__ or "").strip().split("\n")[0],
-            aliases=aliases,
         )
-        for alias in aliases:
-            _SCHEDULER_ALIASES[alias] = name
         return cls
 
     return decorator
@@ -179,12 +167,11 @@ def register_scheduler(
 
 def resolve_scheduler_name(name: str) -> str:
     """Normalize a user-facing scheduler spelling to its registry key."""
-    key = name.strip().lower().replace("-", "_")
-    return _SCHEDULER_ALIASES.get(key, key)
+    return name.strip().lower().replace("-", "_")
 
 
 def scheduler_spec(name: str) -> SchedulerSpec:
-    """The :class:`SchedulerSpec` registered under ``name`` (or alias).
+    """The :class:`SchedulerSpec` registered under ``name``.
 
     Raises:
         ValueError: for unknown names (listing what is available).
@@ -215,8 +202,8 @@ def build_scheduler(
 
     Args:
         scheduler: a registry name (``fifo`` / ``window`` /
-            ``continuous``; legacy alias ``batch``) or an
-            already-built :class:`RequestScheduler`.
+            ``continuous``) or an already-built
+            :class:`RequestScheduler`.
         config: the run's :class:`ServingConfig`, handed to the
             registered class's ``from_config``.
     """
@@ -246,7 +233,6 @@ class FIFOScheduler(RequestScheduler):
     "window",
     summary="dispatch groups gathered over a fixed batching window "
             "(lock-step rounds)",
-    aliases=("batch",),
 )
 class WindowedBatchScheduler(RequestScheduler):
     """Dispatch groups gathered over a batching window.

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from repro.__main__ import main
+from repro.cluster import ClusterConfig
 from repro.cluster.service import cluster
 from repro.obs import (
     BudgetTimeline,
@@ -27,10 +28,10 @@ from repro.obs import (
     canonical_trace,
     trace_summary,
 )
-from repro.serving import serve
+from repro.serving import ServingConfig, serve
 
-RUN = dict(shards=4, replicas=1, n=256, requests=48, seed=13,
-           pad_size=16, batch=8)
+RUN = ClusterConfig(shards=4, replicas=1, n=256, requests=48, seed=13,
+                    pad_size=16, batch=8)
 
 
 def _tree(trace):
@@ -52,9 +53,9 @@ class TestExecutorInvariance:
         reports = {}
         for executor in ("serial", "parallel", "simulated"):
             tracer = Tracer(executor)
-            reports[executor] = cluster(
-                executor=executor, tracer=tracer, **faults, **RUN,
-            )
+            reports[executor] = cluster("dp_ir", RUN.replace(
+                executor=executor, tracer=tracer, **faults,
+            ))
             trees[executor] = _tree(tracer.export())
         assert trees["serial"] == trees["parallel"]
         assert trees["serial"] == trees["simulated"]
@@ -68,8 +69,8 @@ class TestExecutorInvariance:
         # unwound through.
         tracer = Tracer("faulty")
         with pytest.raises(Exception):
-            cluster(executor="serial", tracer=tracer,
-                    failure_rate=1.0, **RUN)
+            cluster("dp_ir", RUN.replace(executor="serial", tracer=tracer,
+                                         failure_rate=1.0))
         errors = {s["error"] for s in tracer.export()["spans"]
                   if s["error"]}
         assert "GroupExhaustedError" in errors
@@ -80,7 +81,7 @@ class TestDeterminism:
         exports = []
         for _ in range(2):
             tracer = Tracer("run")
-            cluster(executor="parallel", tracer=tracer, **RUN)
+            cluster("dp_ir", RUN.replace(executor="parallel", tracer=tracer))
             exports.append(canonical_trace(tracer.export()))
         assert json.dumps(exports[0]) == json.dumps(exports[1])
 
@@ -88,20 +89,21 @@ class TestDeterminism:
         exports = []
         for _ in range(2):
             tracer = Tracer("serve")
-            serve("batch_dp_ir", clients=4, requests_per_client=6,
-                  n=128, seed=5, tracer=tracer)
+            serve("batch_dp_ir", ServingConfig(
+                clients=4, requests_per_client=6, n=128, seed=5,
+                tracer=tracer))
             exports.append(canonical_trace(tracer.export()))
         assert exports[0] == exports[1]
 
 
 class TestTracingIsAnObserver:
     def test_traced_run_is_bit_identical_to_untraced(self):
-        plain = cluster(**RUN)
+        plain = cluster("dp_ir", RUN)
         tracer = Tracer("observed")
         timeline = BudgetTimeline()
         registry = MetricsRegistry()
-        traced = cluster(tracer=tracer, metrics_registry=registry,
-                         timeline=timeline, **RUN)
+        traced = cluster("dp_ir", RUN.replace(
+            tracer=tracer, metrics_registry=registry, timeline=timeline))
         assert traced.to_dict() == plain.to_dict()
         assert len(tracer) > 0
         # The timeline replays the ledger exactly: summed spend events
@@ -114,29 +116,29 @@ class TestTracingIsAnObserver:
         )
 
     def test_serving_answers_unchanged_under_tracing(self):
-        plain = serve("batch_dp_ir", clients=4, requests_per_client=6,
-                      n=128, seed=5)
-        traced = serve("batch_dp_ir", clients=4, requests_per_client=6,
-                       n=128, seed=5, tracer=Tracer("t"),
-                       metrics_registry=MetricsRegistry())
+        plain = serve("batch_dp_ir", ServingConfig(
+            clients=4, requests_per_client=6, n=128, seed=5))
+        traced = serve("batch_dp_ir", ServingConfig(
+            clients=4, requests_per_client=6, n=128, seed=5,
+            tracer=Tracer("t"), metrics_registry=MetricsRegistry()))
         assert traced.to_dict() == plain.to_dict()
 
 
 class TestTimelineAndMetrics:
     def test_timeline_flags_first_crossing(self):
         generous = BudgetTimeline(cap=10**6)
-        cluster(timeline=generous, **RUN)
+        cluster("dp_ir", RUN.replace(timeline=generous))
         assert generous.first_crossing is None
         assert generous.total_spent > 0
         tight = BudgetTimeline(cap=Fraction(1, 1000))
-        cluster(timeline=tight, **RUN)
+        cluster("dp_ir", RUN.replace(timeline=tight))
         crossing = tight.first_crossing
         assert crossing is not None and crossing.operator.startswith("shard-")
 
     def test_registry_absorbs_cluster_counters(self):
         registry = MetricsRegistry()
-        report = cluster(metrics_registry=registry,
-                         failure_rate=0.15, **RUN)
+        report = cluster("dp_ir", RUN.replace(metrics_registry=registry,
+                                              failure_rate=0.15))
         values = {
             (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
             for s in registry.collect()
@@ -154,7 +156,7 @@ class TestTimelineAndMetrics:
 class TestTraceSummary:
     def test_reconstructs_per_round_critical_paths(self):
         tracer = Tracer("summary")
-        cluster(executor="parallel", tracer=tracer, **RUN)
+        cluster("dp_ir", RUN.replace(executor="parallel", tracer=tracer))
         summary = trace_summary(tracer.export())
         assert summary["spans"] == len(tracer)
         rounds = [r for r in summary["rounds"]

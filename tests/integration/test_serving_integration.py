@@ -12,33 +12,34 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.serving import serve
+from repro.serving import ServingConfig, serve
 
 
 class TestBatchingBeatsFIFO:
     @pytest.fixture(scope="class")
     def reports(self):
-        common = dict(clients=8, requests_per_client=12, n=256, seed=7,
-                      rate_rps=150.0, workload="uniform", network="lan")
+        config = ServingConfig(clients=8, requests_per_client=12, n=256,
+                               seed=7, rate_rps=150.0, workload="uniform",
+                               network="lan")
         return {
-            scheduler: serve("batch_dp_ir", scheduler=scheduler, **common)
-            for scheduler in ("fifo", "batch")
+            scheduler: serve("batch_dp_ir", config.replace(scheduler=scheduler))
+            for scheduler in ("fifo", "window")
         }
 
     def test_measurably_fewer_ops_per_request(self, reports):
-        fifo, batch = reports["fifo"], reports["batch"]
+        fifo, batch = reports["fifo"], reports["window"]
         assert fifo.completed == batch.completed == 96
         # FIFO pays the full pad set per request; the batcher downloads
         # pad-set unions, so collisions shave off a measurable share.
         assert batch.ops_per_request < 0.9 * fifo.ops_per_request
 
     def test_batching_improves_tails_under_load(self, reports):
-        fifo, batch = reports["fifo"], reports["batch"]
+        fifo, batch = reports["fifo"], reports["window"]
         assert batch.latency.p95_ms < fifo.latency.p95_ms
         assert batch.throughput_rps > fifo.throughput_rps
 
     def test_groups_actually_formed(self, reports):
-        assert reports["batch"].mean_batch_size > 2.0
+        assert reports["window"].mean_batch_size > 2.0
         assert reports["fifo"].mean_batch_size == pytest.approx(1.0)
 
 
@@ -73,6 +74,6 @@ class TestServeCLI:
                 "--requests", "8", "--n", "256", "--seed", "7", "--json"]
         assert main(args + ["--scheduler", "fifo"]) == 0
         fifo = json.loads(capsys.readouterr().out)
-        assert main(args + ["--scheduler", "batch"]) == 0
+        assert main(args + ["--scheduler", "window"]) == 0
         batch = json.loads(capsys.readouterr().out)
         assert batch["ops_per_request"] < fifo["ops_per_request"]

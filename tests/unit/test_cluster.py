@@ -439,6 +439,15 @@ class TestClusterSchemeBasics:
         with pytest.raises(ValueError, match="KVS base"):
             ClusterKVS(16, base="dp_ir", rng=rng.spawn("c"))
 
+    def test_rejects_unknown_fault_coin_mode_without_faults(self, rng):
+        # Fault-free clusters never build a fault wrapper, so the mode
+        # must be checked by the cluster itself, not left to the wrapper.
+        with pytest.raises(ValueError, match="coin mode"):
+            ClusterIR(integer_database(8), fault_coin_mode="bogus",
+                      rng=rng.spawn("c"))
+        with pytest.raises(ValueError, match="coin mode"):
+            ClusterKVS(16, fault_coin_mode="bogus", rng=rng.spawn("c"))
+
     def test_kvs_routes_and_tracks_directory(self, rng):
         kvs = ClusterKVS(32, shard_count=2, replica_count=2,
                          value_size=8, rng=rng.spawn("kvs"))

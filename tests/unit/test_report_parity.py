@@ -8,20 +8,19 @@ and every figure the table shows must exist in the JSON view.
 
 import copy
 
+from repro.cluster.config import ClusterConfig
 from repro.cluster.service import cluster
-from repro.serving import serve
+from repro.serving import ServingConfig, serve
 
 
 def _run_serving():
-    return serve(
-        "batch_dp_ir", clients=3, requests_per_client=4, n=64, seed=11,
-    )
+    return serve("batch_dp_ir", ServingConfig(
+        clients=3, requests_per_client=4, n=64, seed=11))
 
 
 def _run_cluster():
-    return cluster(
-        shards=2, replicas=1, n=64, requests=12, seed=11, pad_size=8,
-    )
+    return cluster("dp_ir", ClusterConfig(
+        shards=2, replicas=1, n=64, requests=12, seed=11, pad_size=8))
 
 
 class TestServingReportParity:

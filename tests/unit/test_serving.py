@@ -9,6 +9,7 @@ from repro.serving import (
     FIFOScheduler,
     OpenLoopLoad,
     Request,
+    ServingConfig,
     ServingSimulator,
     resolve_scheme_name,
     serve,
@@ -110,15 +111,17 @@ class TestBatchScheduler:
 
 class TestServingSimulator:
     def test_deterministic_replay(self):
-        first = serve("dp_ram", clients=3, requests_per_client=5, n=64,
-                      seed=42, workload="readwrite")
-        second = serve("dp_ram", clients=3, requests_per_client=5, n=64,
-                       seed=42, workload="readwrite")
+        first = serve("dp_ram", ServingConfig(
+            clients=3, requests_per_client=5, n=64, seed=42,
+            workload="readwrite"))
+        second = serve("dp_ram", ServingConfig(
+            clients=3, requests_per_client=5, n=64, seed=42,
+            workload="readwrite"))
         assert first.to_dict() == second.to_dict()
 
     def test_all_requests_complete_and_are_attributed(self):
-        report = serve("dp_ram", clients=4, requests_per_client=6, n=64,
-                       seed=9)
+        report = serve("dp_ram", ServingConfig(
+            clients=4, requests_per_client=6, n=64, seed=9))
         assert report.requests == 24
         assert report.completed == 24
         assert [t.requests for t in report.tenants] == [6, 6, 6, 6]
@@ -128,8 +131,9 @@ class TestServingSimulator:
         )
 
     def test_closed_loop_bounds_queue_depth(self):
-        report = serve("dp_ram", clients=3, requests_per_client=4, n=64,
-                       seed=5, load="closed", think_ms=2.0)
+        report = serve("dp_ram", ServingConfig(
+            clients=3, requests_per_client=4, n=64, seed=5, load="closed",
+            think_ms=2.0))
         # One outstanding request per session: the queue can never hold
         # more than the session count.
         assert report.max_queue_depth <= 3
@@ -162,15 +166,15 @@ class TestServingSimulator:
             ServingSimulator(scheme, sessions, FIFOScheduler())
 
     def test_kvs_scheme_serves(self):
-        report = serve("plaintext_kvs", clients=2, requests_per_client=6,
-                       n=64, seed=3)
+        report = serve("plaintext_kvs", ServingConfig(
+            clients=2, requests_per_client=6, n=64, seed=3))
         assert report.completed == 12
         assert report.errors == 0
         assert report.server_operations > 0
 
     def test_latency_percentiles_ordered(self):
-        report = serve("dp_ir", clients=4, requests_per_client=8, n=64,
-                       seed=2)
+        report = serve("dp_ir", ServingConfig(
+            clients=4, requests_per_client=8, n=64, seed=2))
         latency = report.latency
         assert latency.p50_ms <= latency.p95_ms <= latency.p99_ms
         assert latency.p99_ms <= latency.max_ms
@@ -187,7 +191,8 @@ class TestServeHelper:
         import repro
 
         scheme = repro.build("dp_ram", n=32, seed=4)
-        report = serve(scheme, clients=2, requests_per_client=3, seed=4)
+        report = serve(scheme, ServingConfig(
+            clients=2, requests_per_client=3, seed=4))
         assert report.scheme == "DPRAM"
         assert report.completed == 6
 
@@ -196,55 +201,62 @@ class TestServeHelper:
 
         scheme = repro.build("dp_ram", n=32, seed=4)
         with pytest.raises(ValueError):
-            serve(scheme, clients=1, requests_per_client=1, epsilon=3.0)
+            serve(scheme, ServingConfig(
+                clients=1, requests_per_client=1,
+                build_kwargs={"epsilon": 3.0}))
 
     def test_unknown_scheduler_and_load(self):
         with pytest.raises(ValueError):
-            serve("dp_ram", clients=1, requests_per_client=1, seed=1,
-                  scheduler="lifo")
+            serve("dp_ram", ServingConfig(
+                clients=1, requests_per_client=1, seed=1, scheduler="lifo"))
         with pytest.raises(ValueError):
-            serve("dp_ram", clients=1, requests_per_client=1, seed=1,
-                  load="bursty")
+            serve("dp_ram", ServingConfig(
+                clients=1, requests_per_client=1, seed=1, load="bursty"))
 
     def test_validates_counts(self):
         with pytest.raises(ValueError):
-            serve("dp_ram", clients=0, seed=1)
+            serve("dp_ram", ServingConfig(clients=0, seed=1))
         with pytest.raises(ValueError):
-            serve("dp_ram", clients=1, requests_per_client=0, seed=1)
+            serve("dp_ram", ServingConfig(
+                clients=1, requests_per_client=0, seed=1))
 
     def test_ir_readwrite_workload_rejected(self):
         with pytest.raises(ValueError):
-            serve("dp_ir", clients=1, requests_per_client=2, seed=1,
-                  workload="readwrite")
+            serve("dp_ir", ServingConfig(
+                clients=1, requests_per_client=2, seed=1,
+                workload="readwrite"))
 
     def test_read_only_ram_rejects_readwrite_before_running(self):
         with pytest.raises(ValueError, match="read-only"):
-            serve("read_only_dp_ram", clients=1, requests_per_client=2,
-                  seed=1, n=32, workload="readwrite")
+            serve("read_only_dp_ram", ServingConfig(
+                clients=1, requests_per_client=2, seed=1, n=32,
+                workload="readwrite"))
 
     def test_unknown_kvs_workload_rejected(self):
         with pytest.raises(ValueError, match="zpif"):
-            serve("dp_kvs", clients=1, requests_per_client=2, seed=1,
-                  n=32, workload="zpif")
+            serve("dp_kvs", ServingConfig(
+                clients=1, requests_per_client=2, seed=1, n=32,
+                workload="zpif"))
 
     def test_kv_workload_needs_kvs_scheme(self):
         with pytest.raises(ValueError, match="KVS"):
-            serve("dp_ram", clients=1, requests_per_client=2, seed=1,
-                  n=32, workload="ycsb-a")
+            serve("dp_ram", ServingConfig(
+                clients=1, requests_per_client=2, seed=1, n=32,
+                workload="ycsb-a"))
 
     def test_network_backend_build_uses_served_link(self):
         # backend="network" builds link-charging backends; they must be
         # priced by the link serve() reports, not the builder's WAN
         # default (which would make 'lan' runs silently WAN-slow).
-        common = dict(clients=2, requests_per_client=3, n=32, seed=1,
-                      backend="network")
-        lan = serve("dp_ir", network="lan", **common)
-        wan = serve("dp_ir", network="wan", **common)
+        common = ServingConfig(clients=2, requests_per_client=3, n=32,
+                               seed=1, backend="network")
+        lan = serve("dp_ir", common.replace(network="lan"))
+        wan = serve("dp_ir", common.replace(network="wan"))
         assert lan.network == "lan"
         # WAN RTT is 80x LAN's, so a mislabelled run is unmistakable.
         assert lan.latency.p50_ms < wan.latency.p50_ms / 10
 
     def test_fairness_index_in_range(self):
-        report = serve("dp_ram", clients=4, requests_per_client=5, n=64,
-                       seed=6)
+        report = serve("dp_ram", ServingConfig(
+            clients=4, requests_per_client=5, n=64, seed=6))
         assert 0.25 <= report.fairness_index <= 1.0

@@ -1,19 +1,16 @@
 """Tests for the redesigned config/scheduler API surface.
 
 Covers the frozen :class:`ServingConfig` / :class:`ClusterConfig`
-dataclasses, the scheduler registry, and the deprecation shim that
-keeps the legacy eight-kwarg ``serve()`` / ``cluster()`` signatures
-working (with exactly one warning) while the config path is canonical.
+dataclasses — the only way to parameterize ``serve()`` / ``cluster()``
+— and the scheduler registry.
 """
 
 import argparse
-import warnings
 
 import pytest
 
 import repro
-from repro.cluster.config import CLUSTER_CONFIG_FIELDS, ClusterConfig
-from repro.cluster.service import cluster
+from repro.cluster.config import ClusterConfig
 from repro.serving import (
     ContinuousBatchScheduler,
     FIFOScheduler,
@@ -24,9 +21,7 @@ from repro.serving import (
     resolve_scheduler_name,
     scheduler_listings,
     scheduler_spec,
-    serve,
 )
-from repro.serving.config import SERVING_CONFIG_FIELDS
 from repro.serving.requests import Request
 from repro.workloads.trace import Operation
 
@@ -73,10 +68,6 @@ class TestServingConfig:
         assert config.rate_rps == 250.0
         assert config.tenant_credits == 4
 
-    def test_field_set_excludes_build_kwargs(self):
-        assert "build_kwargs" not in SERVING_CONFIG_FIELDS
-        assert "tenant_credits" in SERVING_CONFIG_FIELDS
-
 
 class TestClusterConfig:
     def test_frozen_with_validated_counts(self):
@@ -88,81 +79,15 @@ class TestClusterConfig:
         with pytest.raises(ValueError):
             ClusterConfig(batch=0)
 
-    def test_field_set_excludes_base_kwargs(self):
-        assert "base_kwargs" not in CLUSTER_CONFIG_FIELDS
-        assert "shards" in CLUSTER_CONFIG_FIELDS
 
-
-class TestServeDeprecationShim:
-    def test_legacy_kwargs_warn_once_and_name_the_kwargs(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            serve("dp_ir", clients=2, requests_per_client=3, n=64, seed=1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "clients" in message and "seed" in message
-        assert "ServingConfig" in message
-
-    def test_legacy_kwargs_and_config_agree_bit_for_bit(self):
-        config = ServingConfig(
-            clients=2, requests_per_client=3, n=64, seed=1
-        )
-        via_config = serve("dp_ir", config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_kwargs = serve(
-                "dp_ir", clients=2, requests_per_client=3, n=64, seed=1
-            )
-        assert via_config.to_dict() == via_kwargs.to_dict()
-
-    def test_config_plus_kwargs_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            serve("dp_ir", ServingConfig(), clients=2)
-
-    def test_legacy_batch_alias_maps_to_window(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report = serve(
-                "dp_ir", clients=2, requests_per_client=3, n=64,
-                seed=1, scheduler="batch",
-            )
-        assert report.scheduler == "window"
-
-    def test_unknown_kwarg_lands_in_build_kwargs_and_fails_loudly(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError):
-                serve(
-                    "dp_ir", clients=2, requests_per_client=3, n=64,
-                    seed=1, bogus_knob=1,
-                )
-
-
-class TestClusterDeprecationShim:
-    def test_legacy_kwargs_warn_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster("dp_ir", shards=2, n=64, requests=4, seed=1)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "ClusterConfig" in str(deprecations[0].message)
-
-    def test_legacy_kwargs_and_config_agree_bit_for_bit(self):
-        config = ClusterConfig(shards=2, n=64, requests=4, seed=1)
-        via_config = cluster("dp_ir", config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_kwargs = cluster("dp_ir", shards=2, n=64, requests=4, seed=1)
-        assert via_config.to_dict() == via_kwargs.to_dict()
-
-    def test_config_plus_kwargs_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            cluster("dp_ir", ClusterConfig(), shards=2)
+class TestConfigOnlyEntryPoints:
+    def test_keyword_calls_raise_type_error(self):
+        with pytest.raises(TypeError):
+            repro.serve("dp_ir", clients=2)
+        with pytest.raises(TypeError):
+            repro.cluster("dp_ir", shards=2)
+        with pytest.raises(TypeError):
+            repro.serve("dp_ir", ServingConfig(), clients=2)
 
 
 class TestSchedulerRegistry:
@@ -171,9 +96,11 @@ class TestSchedulerRegistry:
             "fifo", "window", "continuous",
         }
 
-    def test_batch_is_an_alias_of_window(self):
-        assert resolve_scheduler_name("batch") == "window"
-        assert scheduler_spec("batch").factory is WindowedBatchScheduler
+    def test_spellings_normalize_to_registry_keys(self):
+        assert resolve_scheduler_name(" Window ") == "window"
+        assert scheduler_spec("window").factory is WindowedBatchScheduler
+        with pytest.raises(ValueError, match="window"):
+            scheduler_spec("batch")
 
     def test_unknown_name_lists_the_registered_ones(self):
         with pytest.raises(ValueError, match="fifo"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import serve
+from repro import ServingConfig, serve
 from repro.api import build
 from repro.obs import (
     DEFAULT_STRAGGLER_THRESHOLD,
@@ -74,10 +74,9 @@ class TestStragglerThreshold:
     def test_serving_rounds_carry_the_flag(self):
         tracer = Tracer("serving")
         scheme = build("dp_ir", n=128, seed=11)
-        serve(
-            scheme, clients=4, requests_per_client=8, scheduler="batch",
-            seed=11, tracer=tracer,
-        )
+        serve(scheme, ServingConfig(
+            clients=4, requests_per_client=8, scheduler="window", seed=11,
+            tracer=tracer))
         summary = trace_summary(tracer.export(), straggler_threshold=1.0)
         assert summary["rounds"], "serving must produce fan-out rounds"
         for entry in summary["rounds"]:

@@ -133,13 +133,12 @@ class TestDiffRealRuns:
     """The determinism contract, end to end on real cluster runs."""
 
     def _trace(self, seed):
-        from repro.cluster import cluster
+        from repro.cluster import ClusterConfig, cluster
 
         tracer = Tracer("cluster")
-        cluster(
-            "dp_ir", shards=2, replicas=1, n=128, requests=32,
-            seed=seed, tracer=tracer,
-        )
+        cluster("dp_ir", ClusterConfig(
+            shards=2, replicas=1, n=128, requests=32, seed=seed,
+            tracer=tracer))
         return canonical_trace(tracer.export())
 
     def test_same_seed_reruns_diff_clean(self):
